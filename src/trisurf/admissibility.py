@@ -202,7 +202,11 @@ def admissible_exact(g: Graph, e, p: float, k: int, exact_limit: int = 16) -> fl
     x, y = _edge_endpoints(g, e)
     if not 0 < p <= 1:
         raise InputError(f"p must lie in (0,1], got {p}")
-    cands = relevant_vertices(g, x, y)
+    return _exact_probability(g, x, y, relevant_vertices(g, x, y), p, k, exact_limit)
+
+
+def _exact_probability(g: Graph, x: int, y: int, cands: tuple[int, ...],
+                       p: float, k: int, exact_limit: int) -> float:
     if len(cands) > exact_limit:
         raise CapacityError(
             f"{len(cands)} candidate vertices exceed the exact limit {exact_limit}; "
@@ -230,7 +234,11 @@ def admissible_mc(g: Graph, e, params: AdmissibilityParams, seed: int) -> Admiss
     so the stream is reproducible regardless of how trials are batched.
     """
     x, y = _edge_endpoints(g, e)
-    cands = relevant_vertices(g, x, y)
+    return _mc_estimate(g, x, y, relevant_vertices(g, x, y), params, seed)
+
+
+def _mc_estimate(g: Graph, x: int, y: int, cands: tuple[int, ...],
+                 params: AdmissibilityParams, seed: int) -> AdmissibilityEstimate:
     oracle = _SuccessOracle(g, x, y, params.k, cands)
     c = len(cands)
     n = params.mc_samples
@@ -269,11 +277,11 @@ def admissible(g: Graph, e, params: AdmissibilityParams, seed: int) -> Admissibi
     x, y = _edge_endpoints(g, e)
     cands = relevant_vertices(g, x, y)
     if len(cands) <= params.exact_limit:
-        prob = admissible_exact(g, (x, y), params.p, params.k, params.exact_limit)
+        prob = _exact_probability(g, x, y, cands, params.p, params.k, params.exact_limit)
         target = 1 - params.epsilon
         verdict = VERDICT_ADMISSIBLE if prob >= target else VERDICT_NOT_ADMISSIBLE
         return AdmissibilityEstimate(prob, 0, prob, prob, "exact", verdict)
-    return admissible_mc(g, (x, y), params, seed)
+    return _mc_estimate(g, x, y, cands, params, seed)
 
 
 def _shared_pair(e, f):

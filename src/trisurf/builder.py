@@ -27,7 +27,8 @@ from __future__ import annotations
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
-from typing import ClassVar, Optional
+from itertools import combinations
+from typing import ClassVar, NamedTuple, Optional
 
 from .admissibility import (
     VERDICT_ADMISSIBLE,
@@ -46,6 +47,7 @@ from .hypergraph import (
     canon_pair,
     canon_triple,
     codegree_table,
+    link_edge_counts,
     pair_link,
 )
 from .paths import cycle_edges, cycle_with_edge, cycle_with_forced_second_vertex, path_through
@@ -73,8 +75,10 @@ class SearchConfig:
     Strict mode enforces the existence thresholds that the asymptotic
     argument needs (astronomically large at desk scale); lenient mode
     relaxes them to best-found and lets the classifier-verified
-    certificate carry the burden of proof.  ``retry_budget`` bounds the
-    gluing attempts; 0 means no search at all.  Only lenient searches
+    certificate carry the burden of proof.  Semi-admissibility of each
+    disk's hyperedge pair is checked in strict mode only: a lenient
+    search builds the disk whatever the verdict, so it computes none.
+    ``retry_budget`` bounds the gluing attempts; 0 means no search at all.  Only lenient searches
     without ``prefilter`` fall back to the minimal route when gluing
     ends in not-found: strict mode reports the paper's construction
     alone, and the prefilter belongs to the asymptotic regime.
@@ -307,12 +311,7 @@ def find_sphere(h: Hypergraph3, budget: int | None = None, seed: int = 0) -> Opt
     """Double-pyramid sphere search: densest common links first."""
     if h.n < 2:
         return None
-    counts: dict[tuple[int, int], int] = {}
-    for extenders in codegree_table(h).values():
-        for i in range(len(extenders)):
-            for j in range(i + 1, len(extenders)):
-                key = (extenders[i], extenders[j])
-                counts[key] = counts.get(key, 0) + 1
+    counts = link_edge_counts(h)
     ranked = sorted(counts, key=lambda k: (-counts[k], k))
     if budget is not None:
         ranked = ranked[:budget]
@@ -351,14 +350,9 @@ def two_fan_disk_facets(x: int, y: int, z: int, x2: int, w: int,
 def _validated_disk(facets: frozenset[Triple], boundary: tuple[int, ...],
                     pool: set, w_set) -> DiskPatch:
     cx = Complex2(facets)
-    report = classify(cx)
-    if report.verdict != VERDICT_DISK:
-        raise DefectError(f"disk candidate classified as {report.verdict}")
-    if not has_induced_boundary(cx):
-        raise DefectError("disk candidate boundary is not induced")
-    if not cycles_equal_up_to_symmetry(report.boundary_cycles[0], boundary):
-        raise DefectError("disk candidate has the wrong boundary walk")
-    interior = interior_vertices(cx)
+    interior, problems = _disk_problems(cx, boundary, "disk candidate")
+    if problems:
+        raise DefectError(problems[0])
     if not interior <= (set(pool) - set(w_set)):
         raise DefectError("disk interior escaped the sampled vertex pool")
     return DiskPatch(cx, boundary, interior)
@@ -410,14 +404,106 @@ def build_disk_from_pair(
     return None
 
 
-def _check_cycle_shape(cycle: tuple[int, ...], label: str) -> None:
-    if len(cycle) < 3 or len(set(cycle)) != len(cycle):
-        raise PreconditionError(f"{label} is not a simple cycle of length >= 3")
+class _Gluing(NamedTuple):
+    """The five gluing ingredients with their roles, as ``Certificate`` names them."""
+
+    u: int
+    u1: int
+    v0: int
+    v1: int
+    v2: int
+    v3: int
+    cycle_c: tuple[int, ...]
+    cycle_cprime: tuple[int, ...]
+    disk_d: DiskPatch
+    disk_dprime: DiskPatch
 
 
 def _cycle_neighbors(cycle: tuple[int, ...], v: int) -> tuple[int, int]:
     i = cycle.index(v)
     return cycle[(i - 1) % len(cycle)], cycle[(i + 1) % len(cycle)]
+
+
+def _disk_problems(facets: Complex2, boundary: tuple[int, ...],
+                   label: str) -> tuple[Optional[frozenset[int]], list[str]]:
+    """Interior (None if no disk) and the problems of a disk with this boundary walk.
+
+    Classifies the complex once and hands the report to the boundary
+    and interior helpers.
+    """
+    report = classify(facets)
+    if report.verdict != VERDICT_DISK:
+        return None, [f"{label} is not a disk: {report.verdict}"]
+    problems = []
+    if not has_induced_boundary(facets, report):
+        problems.append(f"{label} boundary not induced")
+    if not cycles_equal_up_to_symmetry(report.boundary_cycles[0], boundary):
+        problems.append(f"{label} boundary walk mismatch")
+    return interior_vertices(facets, report), problems
+
+
+def _five_sets(g: _Gluing | Certificate) -> list[tuple[str, set]]:
+    """The five vertex sets of the gluing that must be pairwise disjoint."""
+    return [
+        ("V(C)-{v0,v1}", set(g.cycle_c) - {g.v0, g.v1}),
+        ("V(C')-{v0,v3}", set(g.cycle_cprime) - {g.v0, g.v3}),
+        ("interior(D)", set(g.disk_d.interior)),
+        ("interior(D')", set(g.disk_dprime.interior)),
+        ("W", {g.u, g.u1, g.v0, g.v1, g.v3}),
+    ]
+
+
+def _structure_problems(g: _Gluing | Certificate) -> list[str]:
+    """Every problem with the gluing's structure, the host aside, in a fixed order.
+
+    ``assemble_rp2`` raises the first one; ``verify_certificate``
+    reports them all.
+    """
+    problems = []
+    if len({g.u, g.u1, g.v0, g.v1, g.v2, g.v3}) != 6:
+        problems.append("roles not distinct")
+    for label, cyc in (("C", g.cycle_c), ("C'", g.cycle_cprime)):
+        if len(cyc) < 3 or len(set(cyc)) != len(cyc):
+            problems.append(f"{label} is not a simple cycle")
+
+    if g.v0 in g.cycle_c and g.v1 in g.cycle_c and g.v2 in g.cycle_c:
+        if set(_cycle_neighbors(g.cycle_c, g.v0)) != {g.v1, g.v2}:
+            problems.append("v1 v0 v2 is not a subpath of C")
+    else:
+        problems.append("v0, v1, v2 not all on C")
+    if g.v0 in g.cycle_cprime and g.v3 in g.cycle_cprime:
+        if g.v3 not in _cycle_neighbors(g.cycle_cprime, g.v0):
+            problems.append("v0 v3 is not an edge of C'")
+    else:
+        problems.append("v0, v3 not all on C'")
+
+    for label, disk, boundary in (
+        ("D", g.disk_d, (g.v0, g.v1, g.u, g.v3)),
+        ("D'", g.disk_dprime, (g.v0, g.v2, g.u1, g.v3)),
+    ):
+        interior, found = _disk_problems(disk.facets, boundary, label)
+        problems += found
+        if interior is not None and disk.interior != interior:
+            problems.append(f"{label} interior mismatch")
+
+    for (label_a, a), (label_b, b) in combinations(_five_sets(g), 2):
+        if a & b:
+            problems.append(f"{label_a} intersects {label_b}")
+    return problems
+
+
+def _glued_facets(g: _Gluing | Certificate) -> frozenset[Triple]:
+    """The facets of the glued surface; the structure must be sound.
+
+    Apex u spans the cycle edges but v0v1 and v0v3, apex u' all but
+    v0v2 and v0v3, and both disks join whole.
+    """
+    all_cycle_edges = set(cycle_edges(g.cycle_c)) | set(cycle_edges(g.cycle_cprime))
+    path_a = all_cycle_edges - {canon_pair(g.v0, g.v1), canon_pair(g.v0, g.v3)}
+    path_a1 = all_cycle_edges - {canon_pair(g.v0, g.v2), canon_pair(g.v0, g.v3)}
+    facets = {canon_triple(g.u, a, b) for a, b in path_a}
+    facets |= {canon_triple(g.u1, a, b) for a, b in path_a1}
+    return frozenset(facets | g.disk_d.facets.facets | g.disk_dprime.facets.facets)
 
 
 def assemble_rp2(
@@ -428,66 +514,17 @@ def assemble_rp2(
 ) -> Complex2:
     """Glue the two cycles and two disks into a projective plane.
 
-    Every gluing hypothesis is validated before any facet
-    is emitted; failures raise PreconditionError naming the violated
-    clause.  The classifier has the last word: a verdict other than RP2
-    on the union is a DefectError, never a silent return.
+    Every gluing hypothesis is validated before any facet is emitted,
+    by the same checker that ``verify_certificate`` runs; a failure
+    raises PreconditionError naming the first violated clause.  The
+    classifier has the last word: a verdict other than RP2 on the union
+    is a DefectError, never a silent return.
     """
-    roles = (u, u1, v0, v1, v2, v3)
-    if len(set(roles)) != len(roles):
-        raise PreconditionError("vertices not distinct")
-    _check_cycle_shape(cycle_c, "C")
-    _check_cycle_shape(cycle_cprime, "C'")
-    if u in cycle_c or u1 in cycle_c or u in cycle_cprime or u1 in cycle_cprime:
-        raise PreconditionError("apex vertex lies on a cycle")
-    if v0 not in cycle_c or v1 not in cycle_c or v2 not in cycle_c:
-        raise PreconditionError("v0, v1, v2 must lie on C")
-    if set(_cycle_neighbors(cycle_c, v0)) != {v1, v2}:
-        raise PreconditionError("v1 v0 v2 is not a subpath of C")
-    if v0 not in cycle_cprime or v3 not in cycle_cprime:
-        raise PreconditionError("v0 and v3 must lie on C'")
-    if v3 not in _cycle_neighbors(cycle_cprime, v0):
-        raise PreconditionError("v0 v3 is not an edge of C'")
-
-    for disk, boundary, label in (
-        (disk_d, (v0, v1, u, v3), "D"),
-        (disk_dprime, (v0, v2, u1, v3), "D'"),
-    ):
-        report = classify(disk.facets)
-        if report.verdict != VERDICT_DISK or not has_induced_boundary(disk.facets):
-            raise PreconditionError(f"{label} is not a disk with induced boundary")
-        if not cycles_equal_up_to_symmetry(report.boundary_cycles[0], boundary):
-            raise PreconditionError(f"{label} boundary mismatch")
-        if disk.interior != interior_vertices(disk.facets):
-            raise PreconditionError(f"{label} interior set mismatch")
-
-    w_set = {u, u1, v0, v1, v3}
-    five = [
-        ("V(C)-{v0,v1}", set(cycle_c) - {v0, v1}),
-        ("V(C')-{v0,v3}", set(cycle_cprime) - {v0, v3}),
-        ("interior(D)", set(disk_d.interior)),
-        ("interior(D')", set(disk_dprime.interior)),
-        ("W", w_set),
-    ]
-    for i in range(len(five)):
-        for j in range(i + 1, len(five)):
-            if five[i][1] & five[j][1]:
-                raise PreconditionError(
-                    f"disjointness violated: {five[i][0]} intersects {five[j][0]}"
-                )
-
-    all_cycle_edges = set(cycle_edges(cycle_c)) | set(cycle_edges(cycle_cprime))
-    path_a = all_cycle_edges - {canon_pair(v0, v1), canon_pair(v0, v3)}
-    path_a1 = all_cycle_edges - {canon_pair(v0, v2), canon_pair(v0, v3)}
-    facets = set()
-    for a, b in path_a:
-        facets.add(canon_triple(u, a, b))
-    for a, b in path_a1:
-        facets.add(canon_triple(u1, a, b))
-    facets |= disk_d.facets.facets
-    facets |= disk_dprime.facets.facets
-
-    union = Complex2(frozenset(facets))
+    gluing = _Gluing(u, u1, v0, v1, v2, v3, cycle_c, cycle_cprime, disk_d, disk_dprime)
+    problems = _structure_problems(gluing)
+    if problems:
+        raise PreconditionError(problems[0])
+    union = Complex2(_glued_facets(gluing))
     report = classify(union)
     if report.verdict != VERDICT_RP2:
         raise DefectError(f"assembly classified as {report.verdict}, expected RP2")
@@ -780,16 +817,19 @@ def _find_rp2_by_gluing(h: Hypergraph3, config: SearchConfig, threads: int) -> S
     w_set = frozenset((u, u1, v0, v1, v3))
 
     disk_params = config.adm_params(config.k)
-    # the lazy pair checks run at level k + 2 in sampling mode: exact
-    # tables at that level are prohibitively wide and, in lenient mode,
-    # the verdict is advisory anyway
-    semi_params = AdmissibilityParams(
-        p=config.p, epsilon=config.epsilon, k=config.k + 2, r=config.r,
-        mc_samples=config.mc_samples, exact_limit=0,
-    )
-    semi_cache: dict[tuple, tuple[bool, frozenset]] = {}
+    # strict mode checks each disk's pair at level k + 2 in sampling mode
+    # (exact tables at that level are prohibitively wide); lenient mode
+    # would build the disk whatever the verdict, so it computes none
+    if config.strict:
+        semi_params = AdmissibilityParams(
+            p=config.p, epsilon=config.epsilon, k=config.k + 2, r=config.r,
+            mc_samples=config.mc_samples, exact_limit=0,
+        )
+        semi_cache: dict[tuple, tuple[bool, frozenset]] = {}
 
     def lazy_semi(e: Triple, f: Triple, label: str, local: dict) -> bool:
+        if not config.strict:
+            return True
         key = (e, f)
         if key not in semi_cache:
             semi_cache[key] = semi_admissible(
@@ -797,11 +837,8 @@ def _find_rp2_by_gluing(h: Hypergraph3, config: SearchConfig, threads: int) -> S
             )
         ok, _witnesses = semi_cache[key]
         if not ok:
-            if config.strict:
-                local[f"semiadm_{label}"] = local.get(f"semiadm_{label}", 0) + 1
-                return False
-            local[f"semiadm_{label}_unverified"] = local.get(f"semiadm_{label}_unverified", 0) + 1
-        return True
+            local[f"semiadm_{label}"] = local.get(f"semiadm_{label}", 0) + 1
+        return ok
 
     hub_neighbors = hub_graph.neighbors(v0)
 
@@ -892,9 +929,10 @@ def verify_certificate(h: Hypergraph3, cert: Certificate | MinimalCertificate) -
     checks: each facet is an edge of the hypergraph, and the facets
     classify as RP2.  A minimal-route certificate must also be the image
     of the hemi-icosahedron under its embedding.  A gluing certificate
-    must also pass cycle validity in the common link, disk structure,
-    the five-set disjointness, the partition containments and the facet
-    union.  Failures are reported, never thrown.
+    must also pass the structural checker that ``assemble_rp2`` runs,
+    then cycle edges in the links of u and u', disk facets in the
+    hypergraph, the partition containments and the facet union.
+    Failures are reported, never thrown.
     """
     if cert.route == MinimalCertificate.route:
         problems = _embedding_problems(cert)
@@ -926,83 +964,27 @@ def _embedding_problems(cert: MinimalCertificate) -> list[str]:
 
 
 def _gluing_problems(h: Hypergraph3, cert: Certificate) -> list[str]:
-    problems: list[str] = []
-    roles = (cert.u, cert.u1, cert.v0, cert.v1, cert.v2, cert.v3)
-    if len(set(roles)) != len(roles):
-        problems.append("roles not distinct")
-
+    """The structural checks, then, on a sound structure, host and partition checks."""
+    problems = _structure_problems(cert)
+    if problems:
+        return problems
     for label, cyc in (("C", cert.cycle_c), ("C'", cert.cycle_cprime)):
-        if len(cyc) < 3 or len(set(cyc)) != len(cyc):
-            problems.append(f"{label} is not a simple cycle")
-            continue
         for a, b in cycle_edges(cyc):
             if canon_triple(cert.u, a, b) not in h.edges or canon_triple(cert.u1, a, b) not in h.edges:
                 problems.append(f"{label} edge {a},{b} missing from a link of u or u'")
                 break
-
-    if cert.v0 in cert.cycle_c and cert.v1 in cert.cycle_c and cert.v2 in cert.cycle_c:
-        if set(_cycle_neighbors(cert.cycle_c, cert.v0)) != {cert.v1, cert.v2}:
-            problems.append("v1 v0 v2 is not a subpath of C")
-    else:
-        problems.append("v0, v1, v2 not all on C")
-    if cert.v0 in cert.cycle_cprime and cert.v3 in cert.cycle_cprime:
-        if cert.v3 not in _cycle_neighbors(cert.cycle_cprime, cert.v0):
-            problems.append("v0 v3 is not an edge of C'")
-    else:
-        problems.append("v0, v3 not all on C'")
-
-    for label, disk, boundary in (
-        ("D", cert.disk_d, (cert.v0, cert.v1, cert.u, cert.v3)),
-        ("D'", cert.disk_dprime, (cert.v0, cert.v2, cert.u1, cert.v3)),
-    ):
+    for label, disk in (("D", cert.disk_d), ("D'", cert.disk_dprime)):
         for t in disk.facets.facets:
             if t not in h.edges:
                 problems.append(f"{label} facet not in hypergraph: {t}")
                 break
-        report = classify(disk.facets)
-        if report.verdict != VERDICT_DISK:
-            problems.append(f"{label} is not a disk: {report.verdict}")
-            continue
-        if not has_induced_boundary(disk.facets):
-            problems.append(f"{label} boundary not induced")
-        if not cycles_equal_up_to_symmetry(report.boundary_cycles[0], boundary):
-            problems.append(f"{label} boundary walk mismatch")
-        if disk.interior != interior_vertices(disk.facets):
-            problems.append(f"{label} interior mismatch")
 
-    w_set = set(cert.w_set)
-    five = [
-        ("V(C)-{v0,v1}", set(cert.cycle_c) - {cert.v0, cert.v1}),
-        ("V(C')-{v0,v3}", set(cert.cycle_cprime) - {cert.v0, cert.v3}),
-        ("interior(D)", set(cert.disk_d.interior)),
-        ("interior(D')", set(cert.disk_dprime.interior)),
-        ("W", w_set),
-    ]
-    for i in range(len(five)):
-        for j in range(i + 1, len(five)):
-            if five[i][1] & five[j][1]:
-                problems.append(f"{five[i][0]} intersects {five[j][0]}")
+    if len(cert.partition) != 4:
+        problems.append("partition does not have four classes")
+    for (label, subset), part in zip(_five_sets(cert), cert.partition):
+        if not subset <= (set(part) - cert.w_set):
+            problems.append(f"{label} escapes its partition class")
 
-    parts = [set(p) for p in cert.partition]
-    if parts and len(parts) == 4:
-        containments = (
-            ("V(C)-{v0,v1}", five[0][1], parts[0]),
-            ("V(C')-{v0,v3}", five[1][1], parts[1]),
-            ("interior(D)", five[2][1], parts[2]),
-            ("interior(D')", five[3][1], parts[3]),
-        )
-        for label, subset, part in containments:
-            if not subset <= (part - w_set):
-                problems.append(f"{label} escapes its partition class")
-
-    expected = set()
-    all_c_edges = set(cycle_edges(cert.cycle_c)) | set(cycle_edges(cert.cycle_cprime))
-    for a, b in all_c_edges - {canon_pair(cert.v0, cert.v1), canon_pair(cert.v0, cert.v3)}:
-        expected.add(canon_triple(cert.u, a, b))
-    for a, b in all_c_edges - {canon_pair(cert.v0, cert.v2), canon_pair(cert.v0, cert.v3)}:
-        expected.add(canon_triple(cert.u1, a, b))
-    expected |= cert.disk_d.facets.facets
-    expected |= cert.disk_dprime.facets.facets
-    if expected != set(cert.facets):
+    if _glued_facets(cert) != set(cert.facets):
         problems.append("assembled facet set mismatch")
     return problems

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .builder import DiskPatch, assemble_rp2, two_fan_disk_facets
+from .builder import DiskPatch, assemble_rp2, build_double_pyramid, two_fan_disk_facets
 from .errors import InputError
 from .hypergraph import Hypergraph3, Triple, canon_triple
 from .rng import local_rng
@@ -54,16 +54,6 @@ def _klein_bottle() -> tuple[Triple, ...]:
     return tuple(first + second)
 
 
-def _double_pyramid_facets(k: int) -> tuple[Triple, ...]:
-    cycle = list(range(2, 2 + k))
-    facets = []
-    for i in range(k):
-        a, b = cycle[i], cycle[(i + 1) % k]
-        facets.append(tuple(sorted((0, a, b))))
-        facets.append(tuple(sorted((1, a, b))))
-    return tuple(facets)
-
-
 _FIXTURES: dict[str, tuple[tuple[Triple, ...], str]] = {
     "tetra_sphere": (((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)), "Sphere"),
     "octa_sphere": (
@@ -102,7 +92,7 @@ def fixture(name: str) -> Fixture:
                 raise InputError(f"unknown fixture {name!r}") from None
         if k < 3:
             raise InputError("double pyramid needs a cycle of length at least 3")
-        return Fixture(name, Complex2.build(_double_pyramid_facets(k)), "Sphere")
+        return Fixture(name, build_double_pyramid(0, 1, tuple(range(2, 2 + k))), "Sphere")
     raise InputError(f"unknown fixture {name!r}; known: {', '.join(FIXTURE_NAMES)}")
 
 

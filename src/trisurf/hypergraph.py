@@ -163,16 +163,13 @@ def codegree_table(h: Hypergraph3) -> dict[Pair, list[int]]:
     return table
 
 
-def best_pair(h: Hypergraph3) -> tuple[int, int, int]:
-    """The pair (u, u') maximizing the common-link edge count.
+def link_edge_counts(h: Hypergraph3) -> dict[Pair, int]:
+    """The common-link edge count e(H_{u,u'}) of every pair with a non-empty link.
 
-    Ties break to the lexicographically smallest pair.  Uses the codegree
-    table: every two extenders of a vertex pair vw contribute one common
-    link edge, so a single pass over extender lists counts e(H_{u,u'})
-    for all pairs at once.
+    Uses the codegree table: every two extenders of a vertex pair vw
+    contribute one common link edge, so a single pass over extender
+    lists counts all pairs at once.
     """
-    if h.n < 2:
-        raise InputError("need at least two vertices")
     counts: dict[Pair, int] = {}
     for extenders in codegree_table(h).values():
         m = len(extenders)
@@ -180,6 +177,17 @@ def best_pair(h: Hypergraph3) -> tuple[int, int, int]:
             for j in range(i + 1, m):
                 key = (extenders[i], extenders[j])
                 counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
+def best_pair(h: Hypergraph3) -> tuple[int, int, int]:
+    """The pair (u, u') maximizing the common-link edge count.
+
+    Ties break to the lexicographically smallest pair.
+    """
+    if h.n < 2:
+        raise InputError("need at least two vertices")
+    counts = link_edge_counts(h)
     if not counts:
         return (0, 1, 0)
     best_count = max(counts.values())

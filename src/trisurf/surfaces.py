@@ -297,9 +297,12 @@ def boundary_vertices(x: Complex2) -> frozenset[int]:
     return frozenset(v for e, fs in edge_table.items() if len(fs) == 1 for v in e)
 
 
-def has_induced_boundary(x: Complex2) -> bool:
-    """No 1-simplex chords the boundary and no facet lies inside it."""
-    report = classify(x)
+def has_induced_boundary(x: Complex2, report: SurfaceReport | None = None) -> bool:
+    """No 1-simplex chords the boundary and no facet lies inside it.
+
+    ``report`` is ``classify(x)``, computed here when not given.
+    """
+    report = classify(x) if report is None else report
     if report.verdict != VERDICT_DISK and not report.verdict.startswith("SurfaceWithBoundary"):
         raise InputError(f"complex is not a surface with boundary: {report.verdict}")
     b_verts = boundary_vertices(x)
@@ -313,9 +316,12 @@ def has_induced_boundary(x: Complex2) -> bool:
     return True
 
 
-def interior_vertices(x: Complex2) -> frozenset[int]:
-    """Vertices not on the boundary; the whole vertex set when closed."""
-    report = classify(x)
+def interior_vertices(x: Complex2, report: SurfaceReport | None = None) -> frozenset[int]:
+    """Vertices not on the boundary; the whole vertex set when closed.
+
+    ``report`` is ``classify(x)``, computed here when not given.
+    """
+    report = classify(x) if report is None else report
     if report.verdict == VERDICT_NOT_A_SURFACE:
         raise InputError(f"not a manifold: {report.reason}")
     return x.vertices() - boundary_vertices(x)

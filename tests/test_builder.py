@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import itertools
 import random
 
@@ -28,6 +29,7 @@ from trisurf.generators import (
     random_hypergraph,
 )
 from trisurf.hypergraph import Graph, Hypergraph3, canon_triple
+from trisurf.paths import cycle_edges
 from trisurf.surfaces import Complex2, classify
 
 
@@ -413,3 +415,98 @@ def test_config_validation():
         SearchConfig(p=0.7)
     with pytest.raises(InputError):
         SearchConfig(k=0)
+
+
+def _planted_certificate(inst):
+    """A gluing certificate for a planted instance and a host for it.
+
+    The host adds the apex triples over every cycle edge, which the
+    links of u and u' must hold.
+    """
+    extra = {
+        canon_triple(apex, a, b)
+        for apex in (inst.u, inst.u1)
+        for a, b in cycle_edges(inst.cycle_c) + cycle_edges(inst.cycle_cprime)
+    }
+    host = Hypergraph3(inst.hypergraph.n, inst.hypergraph.edges | extra)
+    w_set = {inst.u, inst.u1, inst.v0, inst.v1, inst.v3}
+    partition = (
+        (set(inst.cycle_c) - {inst.v0, inst.v1}) | w_set,
+        set(inst.cycle_cprime) - {inst.v0, inst.v3},
+        inst.disk_d.interior,
+        inst.disk_dprime.interior,
+    )
+    cert = Certificate(
+        facets=tuple(sorted(inst.hypergraph.edges)),
+        u=inst.u, u1=inst.u1, v0=inst.v0, v1=inst.v1, v2=inst.v2, v3=inst.v3,
+        cycle_c=inst.cycle_c, cycle_cprime=inst.cycle_cprime,
+        disk_d=inst.disk_d, disk_dprime=inst.disk_dprime,
+        partition=tuple(tuple(sorted(part)) for part in partition),
+        config=SearchConfig(), seed=0, report=classify(Complex2(inst.hypergraph.edges)),
+    )
+    return host, cert
+
+
+def _assemble(cert):
+    return assemble_rp2(
+        cert.u, cert.u1, cert.cycle_c, cert.cycle_cprime,
+        cert.disk_d, cert.disk_dprime, cert.v0, cert.v1, cert.v2, cert.v3,
+    )
+
+
+def test_assemble_and_verify_agree_on_broken_gluings():
+    """assemble_rp2 raises the first structural problem verify_certificate reports."""
+    rng = random.Random(17)
+    for _ in range(25):
+        inst = planted_rp2_instance(
+            rng.randint(4, 10), rng.randint(3, 8), rng.randint(1, 4), rng.randint(1, 4),
+            seed=rng.randrange(10**6),
+        )
+        host, cert = _planted_certificate(inst)
+        assert set(_assemble(cert).facets) == set(cert.facets)
+        ok, problems = verify_certificate(host, cert)
+        assert ok, problems
+
+        d, dp = cert.disk_d, cert.disk_dprime
+        first_facet = min(d.facets.facets)
+        broken = {
+            "duplicate roles": dataclasses.replace(cert, v2=cert.v1),
+            "D' given D's interior": dataclasses.replace(
+                cert, disk_dprime=DiskPatch(dp.facets, dp.boundary, d.interior)),
+            "wrong disk for D": dataclasses.replace(cert, disk_d=dp),
+            "v1 and v3 swapped": dataclasses.replace(cert, v1=cert.v3, v3=cert.v1),
+            "apex on C": dataclasses.replace(cert, u=cert.v2, v2=cert.u),
+            "deleted disk facet": dataclasses.replace(cert, disk_d=DiskPatch(
+                Complex2(d.facets.facets - {first_facet}), d.boundary, d.interior)),
+        }
+        for what, mutant in broken.items():
+            ok, problems = verify_certificate(host, mutant)
+            assert not ok, what
+            with pytest.raises(PreconditionError) as raised:
+                _assemble(mutant)
+            assert str(raised.value) == problems[0], (what, problems)
+
+
+def test_verify_rejects_a_partition_without_four_classes():
+    host, cert = _planted_certificate(planted_rp2_instance(5, 4, 1, 1, seed=8))
+    assert verify_certificate(host, cert) == (True, [])
+    for partition in ((), cert.partition[:3], cert.partition + ((),)):
+        ok, problems = verify_certificate(host, dataclasses.replace(cert, partition=partition))
+        assert not ok
+        assert "partition does not have four classes" in problems
+
+
+def test_lenient_search_never_checks_semi_admissibility(monkeypatch):
+    """Lenient mode builds each disk whatever the pair's verdict, so it asks for none."""
+    import trisurf.builder as builder
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("semi_admissible called in lenient mode")
+
+    monkeypatch.setattr(builder, "semi_admissible", refuse)
+    out = find_rp2(complete(13), SearchConfig(seed=4))
+    assert out.found and out.attempts == 43
+    # the certificate the search returned while it still computed the verdict
+    digest = hashlib.sha256(out.certificate.to_json().encode("utf-8")).hexdigest()
+    assert digest == "16ec947df3f55f14644c1d3ed0ad8d6a83224af06cb94090e38d63f2cc104514"
+    assert not any(key.startswith("semiadm") for key in out.counters)
