@@ -9,11 +9,12 @@ pairs admissible inside the corresponding common links.
 
 Two evaluation modes:
 
-* exact -- enumerate all subsets of the candidate vertices (those lying
-  on some x-y path of length >= 2; nothing else can matter) and sum the
-  subset probabilities.  Success is monotone in the subset, so most
-  subsets are settled by a smaller settled subset and never hit the
-  flow solver.
+* exact -- enumerate all subsets of the candidate vertices and sum the
+  subset probabilities.  Only vertices on some x-y path of length >= 2
+  can matter; they form the block of g + xy holding the edge xy, read
+  off one depth-first search.  Success is monotone in the subset, so
+  most subsets are settled by a smaller settled subset and never hit
+  the flow solver.
 * monte-carlo -- seeded sampling with a Wilson 95% interval and a
   three-way verdict (admissible / not-admissible / inconclusive).
 """
@@ -96,50 +97,42 @@ def _wilson(successes: int, n: int) -> tuple[float, float]:
 
 
 def relevant_vertices(g: Graph, x: int, y: int) -> tuple[int, ...]:
-    """Vertices lying on some simple x-y path of length >= 2.
+    """Vertices lying on some simple x-y path of length >= 2, ascending.
 
-    By Menger, v qualifies exactly when two paths from v reach x and y
-    without sharing an internal vertex; decided per vertex with a small
-    unit-capacity flow.
+    Such a path closes with the edge xy into a cycle, so these are the
+    vertices other than x and y in the block (2-connected component) of
+    g + xy that holds xy.  One depth-first search from x, with xy as its
+    first tree edge, finds that block by low points (Hopcroft-Tarjan):
+    a descendant w of y joins it when its parent did and the subtree of
+    w has an edge to a proper ancestor of that parent.
     """
-    candidates = []
-    others = sorted(g.vertices - {x, y})
+    if x == y or x not in g.vertices or y not in g.vertices:
+        return ()
     adj = g.adjacency()
-    for v in others:
-        if not adj.get(v):
-            continue
-        net, index = _build_split_net_to_terminals(g, v, x, y, others)
-        if net.max_flow(0, 1, 2) >= 2:
-            candidates.append(v)
-    return tuple(candidates)
-
-
-def _build_split_net_to_terminals(g: Graph, v: int, x: int, y: int, others):
-    """Flow net asking for disjoint v->x and v->y paths (x,y merged into a sink)."""
-    from .paths import _FlowNet
-
-    internal = [w for w in others if w != v]
-    index = {w: 4 + 2 * i for i, w in enumerate(internal)}
-    # node 0 = source v, node 1 = super sink, 2 = terminal x, 3 = terminal y
-    net = _FlowNet(4 + 2 * len(internal))
-    net.add_arc(2, 1)
-    net.add_arc(3, 1)
-    for w in internal:
-        net.add_arc(index[w], index[w] + 1)
-    term = {x: 2, y: 3}
-    for a, b in sorted(g.edges):
-        for (s, t) in ((a, b), (b, a)):
-            if s == v:
-                if t in term:
-                    net.add_arc(0, term[t])
-                elif t in index:
-                    net.add_arc(0, index[t])
-            elif s in index:
-                if t in term:
-                    net.add_arc(index[s] + 1, term[t])
-                elif t in index:
-                    net.add_arc(index[s] + 1, index[t])
-    return net, index
+    disc = {x: 0, y: 1}
+    low = dict(disc)
+    parent = {y: x}  # the tree edge xy stands for the closing edge, in g or not
+    order = [y]
+    stack = [(y, iter(adj[y]))]
+    while stack:
+        v, nbrs = stack[-1]
+        for w in nbrs:
+            if w not in disc:
+                disc[w] = low[w] = len(disc)
+                parent[w] = v
+                order.append(w)
+                stack.append((w, iter(adj[w])))
+                break
+            if w != parent[v]:
+                low[v] = min(low[v], disc[w])
+        else:
+            stack.pop()
+            low[parent[v]] = min(low[parent[v]], low[v])
+    block = {y}
+    for w in order[1:]:
+        if parent[w] in block and low[w] < disc[parent[w]]:
+            block.add(w)
+    return tuple(sorted(block - {y}))
 
 
 class _SuccessOracle:
@@ -243,9 +236,7 @@ def _mc_estimate(g: Graph, x: int, y: int, cands: tuple[int, ...],
     c = len(cands)
     n = params.mc_samples
     successes = 0
-    if c == 0:
-        successes = 0
-    else:
+    if c:
         powers = (np.int64(1) << np.arange(c, dtype=np.int64))
         done = 0
         block_idx = 0

@@ -25,7 +25,6 @@ the prefilter and a zero retry budget keep the gluing route only.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from itertools import combinations
 from typing import ClassVar, NamedTuple, Optional
@@ -565,7 +564,6 @@ class ApexResult:
     v1: int
     v3: int
     certified: bool
-    estimates: tuple
 
 
 def _trim_edges(g: Graph, target: int) -> Graph:
@@ -612,14 +610,14 @@ def _scan_for_hub(g: Graph, scan_vertices, config: SearchConfig):
         scored.sort()
         certified = [s for s in scored if s[2].verdict == VERDICT_ADMISSIBLE]
         if len(certified) >= 2:
-            return v0, certified[0][1], certified[1][1], True, estimates
+            return v0, certified[0][1], certified[1][1], True
         if not config.strict:
             min_hat = min(-scored[0][0], -scored[1][0])
             key = (min_hat, -v0)
             if best is None or key > best[0]:
                 best = (key, v0, scored[0][1], scored[1][1])
     if best is not None:
-        return best[1], best[2], best[3], False, estimates
+        return best[1], best[2], best[3], False
     return None
 
 
@@ -633,13 +631,12 @@ def find_apex(g: Graph, config: SearchConfig) -> ApexResult:
     d = config.d
     n = len(g.vertices)
     if n == 0 or not g.edges:
-        return ApexResult(False, None, -1, -1, -1, False, ())
+        return ApexResult(False, None, -1, -1, -1, False)
     if n <= d:
         hit = _scan_for_hub(g, g.vertices, config)
         if hit is None:
-            return ApexResult(False, None, -1, -1, -1, False, ())
-        v0, v1, v3, certified, _ = hit
-        return ApexResult(True, g, v0, v1, v3, certified, ())
+            return ApexResult(False, None, -1, -1, -1, False)
+        return ApexResult(True, g, *hit)
 
     target = -(-d * n // 4)  # ceil
     trimmed = _trim_edges(g, target)
@@ -654,9 +651,8 @@ def find_apex(g: Graph, config: SearchConfig) -> ApexResult:
         return find_apex(trimmed.subgraph(v_high), config)
     hit = _scan_for_hub(trimmed, v_low, config)
     if hit is None:
-        return ApexResult(False, None, -1, -1, -1, False, ())
-    v0, v1, v3, certified, _ = hit
-    return ApexResult(True, trimmed, v0, v1, v3, certified, ())
+        return ApexResult(False, None, -1, -1, -1, False)
+    return ApexResult(True, trimmed, *hit)
 
 
 @dataclass
@@ -757,18 +753,18 @@ def embed_hemi_icosahedron(h: Hypergraph3) -> Optional[tuple[int, ...]]:
 def find_rp2(h: Hypergraph3, config: SearchConfig, threads: int = 1) -> SearchOutcome:
     """The full certificate search; see the module docstring for the plan.
 
-    The gluing route runs first.  Its attempts are independent given
-    their derived sub-seeds, so windows of them may run on a thread
-    pool; the lowest successful attempt index wins either way and the
-    outcome is identical for any thread count.  When gluing ends in
-    not-found, a lenient search without the prefilter tries the minimal
-    route, ``embed_hemi_icosahedron``, which is deterministic; the
-    outcome then keeps the gluing counters and ``attempts``.  A zero
-    ``retry_budget`` searches nothing.
+    The gluing route runs first.  Its attempts run one after another in
+    index order, each from its own derived sub-seed, and the first
+    success wins; ``threads`` is accepted for compatibility and does not
+    change the outcome.  When gluing ends in not-found, a lenient search
+    without the prefilter tries the minimal route,
+    ``embed_hemi_icosahedron``, which is deterministic; the outcome then
+    keeps the gluing counters and ``attempts``.  A zero ``retry_budget``
+    searches nothing.
     """
     if config.retry_budget == 0:
         return SearchOutcome(None, {}, 0)
-    outcome = _find_rp2_by_gluing(h, config, threads)
+    outcome = _find_rp2_by_gluing(h, config)
     if outcome.found or config.strict or config.prefilter:
         return outcome
     embedding = embed_hemi_icosahedron(h)
@@ -785,7 +781,7 @@ def find_rp2(h: Hypergraph3, config: SearchConfig, threads: int = 1) -> SearchOu
     return SearchOutcome(cert, outcome.counters, outcome.attempts)
 
 
-def _find_rp2_by_gluing(h: Hypergraph3, config: SearchConfig, threads: int) -> SearchOutcome:
+def _find_rp2_by_gluing(h: Hypergraph3, config: SearchConfig) -> SearchOutcome:
     """The randomized gluing search over ``config.retry_budget`` attempts."""
     counters: dict[str, int] = {}
 
@@ -902,23 +898,12 @@ def _find_rp2_by_gluing(h: Hypergraph3, config: SearchConfig, threads: int) -> S
             raise DefectError(f"fresh certificate failed verification: {problems}")
         return cert, local
 
-    workers = max(1, threads)
-    executor = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-    try:
-        for window_start in range(0, config.retry_budget, workers):
-            idxs = range(window_start, min(window_start + workers, config.retry_budget))
-            if executor is None:
-                outs = [attempt(i) for i in idxs]
-            else:
-                outs = list(executor.map(attempt, idxs))
-            for i, (cert, local) in zip(idxs, outs):
-                for key, val in local.items():
-                    bump(key, val)
-                if cert is not None:
-                    return SearchOutcome(cert, counters, i + 1)
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=False)
+    for index in range(config.retry_budget):
+        cert, local = attempt(index)
+        for key, val in local.items():
+            bump(key, val)
+        if cert is not None:
+            return SearchOutcome(cert, counters, index + 1)
     return SearchOutcome(None, counters, config.retry_budget)
 
 

@@ -34,6 +34,7 @@ from .surfaces import Complex2, classify
 EXIT_OK = 0
 EXIT_NOT_FOUND = 1
 EXIT_INPUT = 2
+THREADS_HELP = "accepted for compatibility; attempts run serially and the output does not depend on it"
 
 
 @dataclass(frozen=True)
@@ -279,7 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float)
     p.add_argument("--strict", action="store_true")
     p.add_argument("--prefilter", action="store_true")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.add_argument("--json", dest="json_out", help="also write the certificate to this path")
     p.set_defaults(func=cmd_find_rp2)
 
@@ -316,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coeff", default="1.0", help="comma list of density coefficients")
     p.add_argument("--trials", type=int, default=5)
     p.add_argument("--retry-budget", dest="retry_budget", type=int, default=200)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1, help=THREADS_HELP)
     p.add_argument("--seed", type=int)
     p.add_argument("--out", help="CSV output path (default stdout)")
     p.set_defaults(func=cmd_experiment)

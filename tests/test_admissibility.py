@@ -59,6 +59,66 @@ def test_relevant_vertices_menger_filter():
     # vertex 4 hangs off a pendant; it is on no simple 0-1 path
     g = G(5, [(0, 1), (0, 2), (1, 2), (2, 3), (0, 3), (3, 4)])
     assert relevant_vertices(g, 0, 1) == (2, 3)
+    # a non-edge pair counts the vertices of its x-y paths in g
+    assert relevant_vertices(g, 1, 3) == (0, 2)
+    # a bridge lies on no cycle, so no longer path joins its ends
+    bridged = G(6, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5)])
+    assert relevant_vertices(bridged, 2, 3) == ()
+    # two triangles sharing the cut vertex 2: each edge sees its own triangle
+    bowtie = G(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
+    assert relevant_vertices(bowtie, 0, 1) == (2,)
+    assert relevant_vertices(bowtie, 2, 3) == (4,)
+    assert relevant_vertices(bowtie, 0, 3) == (1, 2, 4)
+    # an endpoint outside the vertex set has no paths
+    assert relevant_vertices(bowtie, 0, 7) == ()
+
+
+def _path_vertices(g, x, y):
+    """Internal vertices of every simple x-y path of length >= 2, by enumeration."""
+    adj = g.adjacency()
+    seen = set()
+
+    def walk(path):
+        for w in adj[path[-1]]:
+            if w == y:
+                if len(path) > 1:
+                    seen.update(path[1:])
+            elif w not in path:
+                walk(path + [w])
+
+    walk([x])
+    return tuple(sorted(seen))
+
+
+def _random_graph(rng, n, density):
+    return G(n, [e for e in itertools.combinations(range(n), 2) if rng.random() < density])
+
+
+def test_relevant_vertices_matches_simple_path_enumeration():
+    rng = random.Random(11)
+    kinds = {True: 0, False: 0}
+    for _ in range(2000):
+        n = rng.randint(2, 9)
+        g = _random_graph(rng, n, rng.uniform(0.15, 0.7))
+        x, y = rng.sample(range(n), 2)
+        kinds[g.has_edge(x, y)] += 1
+        assert relevant_vertices(g, x, y) == _path_vertices(g, x, y), (sorted(g.edges), x, y)
+    assert min(kinds.values()) >= 500  # edges and non-edges both well covered
+
+
+def test_relevant_vertices_matches_networkx_blocks():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(12)
+    for _ in range(300):
+        n = rng.randint(3, 40)
+        g = _random_graph(rng, n, rng.uniform(0.5, 4.0) / n)
+        x, y = rng.sample(range(n), 2)
+        ng = nx.Graph()
+        ng.add_nodes_from(g.vertices)
+        ng.add_edges_from(g.edges)
+        ng.add_edge(x, y)
+        (block,) = [b for b in nx.biconnected_components(ng) if x in b and y in b]
+        assert relevant_vertices(g, x, y) == tuple(sorted(block - {x, y})), (sorted(g.edges), x, y)
 
 
 def test_exact_monotone_in_p_and_k():
