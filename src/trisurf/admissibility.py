@@ -22,6 +22,7 @@ Two evaluation modes:
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,9 +35,16 @@ from .rng import derive_seed
 _Z95 = 1.959963984540054
 _MC_BLOCK = 8192
 
+EXACT_LIMIT_MAX = 20  # an exact table holds 2**exact_limit entries
+
 VERDICT_ADMISSIBLE = "admissible"
 VERDICT_NOT_ADMISSIBLE = "not-admissible"
 VERDICT_INCONCLUSIVE = "inconclusive"
+
+
+def check_exact_limit(exact_limit: int) -> None:
+    if not 0 <= exact_limit <= EXACT_LIMIT_MAX:
+        raise InputError(f"exact_limit must lie in 0..{EXACT_LIMIT_MAX}, got {exact_limit}")
 
 
 @dataclass(frozen=True)
@@ -59,6 +67,7 @@ class AdmissibilityParams:
             raise InputError("r must be non-negative")
         if self.mc_samples < 1:
             raise InputError("mc_samples must be at least 1")
+        check_exact_limit(self.exact_limit)
 
 
 @dataclass(frozen=True)
@@ -108,7 +117,7 @@ def relevant_vertices(g: Graph, x: int, y: int) -> tuple[int, ...]:
     """
     if x == y or x not in g.vertices or y not in g.vertices:
         return ()
-    adj = g.adjacency()
+    adj = g.adjacency
     disc = {x: 0, y: 1}
     low = dict(disc)
     parent = {y: x}  # the tree edge xy stands for the closing edge, in g or not
@@ -195,6 +204,7 @@ def admissible_exact(g: Graph, e, p: float, k: int, exact_limit: int = 16) -> fl
     x, y = _edge_endpoints(g, e)
     if not 0 < p <= 1:
         raise InputError(f"p must lie in (0,1], got {p}")
+    check_exact_limit(exact_limit)
     return _exact_probability(g, x, y, relevant_vertices(g, x, y), p, k, exact_limit)
 
 
@@ -237,17 +247,20 @@ def _mc_estimate(g: Graph, x: int, y: int, cands: tuple[int, ...],
     n = params.mc_samples
     successes = 0
     if c:
-        powers = (np.int64(1) << np.arange(c, dtype=np.int64))
+        width = (c + 7) // 8
         done = 0
         block_idx = 0
         while done < n:
             size = min(_MC_BLOCK, n - done)
             rng = np.random.default_rng(derive_seed(seed, "admmc", block_idx))
             mat = rng.random((size, c)) < params.p
-            masks = (mat * powers).sum(axis=1)
-            uniq, counts = np.unique(masks, return_counts=True)
-            for mask, count in zip(uniq.tolist(), counts.tolist()):
-                if oracle.query(int(mask)):
+            # bit i of a sample's mask is candidate i, exact at any c
+            rows = np.packbits(mat, axis=1, bitorder="little").tobytes()
+            masks = Counter(
+                int.from_bytes(rows[i:i + width], "little") for i in range(0, len(rows), width)
+            )
+            for mask, count in masks.items():
+                if oracle.query(mask):
                     successes += count
             done += size
             block_idx += 1

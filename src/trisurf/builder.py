@@ -34,6 +34,7 @@ from .admissibility import (
     AdmissibilityEstimate,
     AdmissibilityParams,
     admissible,
+    check_exact_limit,
     filter_semi_admissible,
     semi_admissible,
 )
@@ -106,6 +107,7 @@ class SearchConfig:
                 raise InputError(f"{name} must be at least 1")
         if self.retry_budget < 0:
             raise InputError("retry_budget must be non-negative")
+        check_exact_limit(self.exact_limit)
         if self.strict:
             alpha = 2 * APEX_PATH_COUNT / (self.p ** 2 * self.epsilon_prime)
             if self.d < 4 * (1 + 2 * alpha):
@@ -273,7 +275,7 @@ def build_double_pyramid(u: int, u1: int, cycle: tuple[int, ...]) -> Complex2:
 
 def _find_cycle(g: Graph) -> Optional[tuple[int, ...]]:
     """Any simple cycle, by iterative DFS from the smallest vertex."""
-    adj = g.adjacency()
+    adj = g.adjacency
     color: dict[int, int] = {}
     parent: dict[int, int] = {}
     for root in sorted(g.vertices):
@@ -590,7 +592,7 @@ def _scan_for_hub(g: Graph, scan_vertices, config: SearchConfig):
     the fallback.
     """
     params = config.adm_params(APEX_PATH_COUNT, config.epsilon_prime)
-    adj = g.adjacency()
+    adj = g.adjacency
     estimates: dict[tuple[int, int], AdmissibilityEstimate] = {}
 
     def estimate(e):
@@ -823,7 +825,7 @@ def _find_rp2_by_gluing(h: Hypergraph3, config: SearchConfig) -> SearchOutcome:
         )
         semi_cache: dict[tuple, tuple[bool, frozenset]] = {}
 
-    def lazy_semi(e: Triple, f: Triple, label: str, local: dict) -> bool:
+    def lazy_semi(e: Triple, f: Triple, label: str) -> bool:
         if not config.strict:
             return True
         key = (e, f)
@@ -833,13 +835,12 @@ def _find_rp2_by_gluing(h: Hypergraph3, config: SearchConfig) -> SearchOutcome:
             )
         ok, _witnesses = semi_cache[key]
         if not ok:
-            local[f"semiadm_{label}"] = local.get(f"semiadm_{label}", 0) + 1
+            bump(f"semiadm_{label}")
         return ok
 
     hub_neighbors = hub_graph.neighbors(v0)
 
-    def attempt(index: int):
-        local: dict[str, int] = {}
+    def attempt(index: int) -> Optional[Certificate]:
         rng = local_rng(config.seed, "attempt", index)
         u_parts = _sample_partition(range(h.n), rng)
 
@@ -854,34 +855,34 @@ def _find_rp2_by_gluing(h: Hypergraph3, config: SearchConfig) -> SearchOutcome:
                 chosen = (v2, cyc)
                 break
         if chosen is None:
-            local["cycle_C"] = 1
-            return None, local
+            bump("cycle_C")
+            return None
         v2, cycle_c = chosen
 
         cycle_cp = cycle_with_edge(hub_graph, v0, v3, u_parts[1] - w_set, frozenset((v1,)))
         if cycle_cp is None:
-            local["cycle_Cprime"] = 1
-            return None, local
+            bump("cycle_Cprime")
+            return None
 
-        if not lazy_semi(canon_triple(u, v0, v1), canon_triple(u, v0, v3), "D", local):
-            return None, local
+        if not lazy_semi(canon_triple(u, v0, v1), canon_triple(u, v0, v3), "D"):
+            return None
         disk_d = build_disk_from_pair(
             h, v1, u, v0, v3, u_parts[2] - w_set, w_set, disk_params,
             derive_seed(config.seed, "attempt", index, "diskD"),
         )
         if disk_d is None:
-            local["disk_D"] = 1
-            return None, local
+            bump("disk_D")
+            return None
 
-        if not lazy_semi(canon_triple(u1, v0, v2), canon_triple(u1, v0, v3), "Dprime", local):
-            return None, local
+        if not lazy_semi(canon_triple(u1, v0, v2), canon_triple(u1, v0, v3), "Dprime"):
+            return None
         disk_dp = build_disk_from_pair(
             h, v2, u1, v0, v3, u_parts[3] - w_set - {v2}, w_set, disk_params,
             derive_seed(config.seed, "attempt", index, "diskDprime"),
         )
         if disk_dp is None:
-            local["disk_Dprime"] = 1
-            return None, local
+            bump("disk_Dprime")
+            return None
 
         union = assemble_rp2(u, u1, cycle_c, cycle_cp, disk_d, disk_dp, v0, v1, v2, v3)
         report = classify(union)
@@ -896,12 +897,10 @@ def _find_rp2_by_gluing(h: Hypergraph3, config: SearchConfig) -> SearchOutcome:
         ok, problems = verify_certificate(h, cert)
         if not ok:
             raise DefectError(f"fresh certificate failed verification: {problems}")
-        return cert, local
+        return cert
 
     for index in range(config.retry_budget):
-        cert, local = attempt(index)
-        for key, val in local.items():
-            bump(key, val)
+        cert = attempt(index)
         if cert is not None:
             return SearchOutcome(cert, counters, index + 1)
     return SearchOutcome(None, counters, config.retry_budget)

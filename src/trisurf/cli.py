@@ -39,7 +39,7 @@ THREADS_HELP = "accepted for compatibility; attempts run serially and the output
 
 @dataclass(frozen=True)
 class RunRecord:
-    """One command execution, as a CSV row or JSON object."""
+    """One command execution, reported as a JSON object on stderr."""
 
     command: str
     input_digest: str
@@ -57,10 +57,6 @@ class RunRecord:
             "wall_ms": round(self.wall_ms, 3),
             "counters": self.counters,
         }
-
-    def csv_row(self) -> list:
-        return [self.command, self.input_digest, json.dumps(self.config, sort_keys=True),
-                self.outcome, round(self.wall_ms, 3), json.dumps(self.counters, sort_keys=True)]
 
 
 def _digest(text: str) -> str:
@@ -299,7 +295,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=0.5)
     p.add_argument("--k", type=int, default=1)
     p.add_argument("--mc-samples", dest="mc_samples", type=int, default=20000)
-    p.add_argument("--exact-limit", dest="exact_limit", type=int, default=16)
+    p.add_argument("--exact-limit", dest="exact_limit", type=int, default=16,
+                   help="largest candidate set solved exactly, 0..20; larger sets are sampled")
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_admissibility)
 

@@ -17,6 +17,7 @@ LF line endings.  Graphs use the same header with two integers per line.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 from .errors import InputError, ParseError
@@ -85,18 +86,20 @@ class Graph:
             out.add(e)
         return cls(vs, frozenset(out))
 
-    def adjacency(self) -> dict[int, list[int]]:
-        """Adjacency lists with neighbors sorted ascending."""
+    @cached_property
+    def adjacency(self) -> dict[int, tuple[int, ...]]:
+        """Neighbors of each vertex, ascending; built once per graph.
+
+        The dict is shared by every caller and must not be mutated.
+        """
         adj: dict[int, list[int]] = {v: [] for v in self.vertices}
         for a, b in self.edges:
             adj[a].append(b)
             adj[b].append(a)
-        for v in adj:
-            adj[v].sort()
-        return adj
+        return {v: tuple(sorted(nbrs)) for v, nbrs in adj.items()}
 
     def neighbors(self, v: int) -> list[int]:
-        return sorted(b if a == v else a for a, b in self.edges if v in (a, b))
+        return list(self.adjacency.get(v, ()))
 
     def has_edge(self, a: int, b: int) -> bool:
         return canon_pair(a, b) in self.edges

@@ -2,9 +2,11 @@
 
 The central primitive decides, exactly, whether k internally
 vertex-disjoint paths of length at least 2 run from x to y with all
-internal vertices inside a prescribed set U.  The decision is a
-unit-capacity maximum flow after splitting each internal vertex, with
-the direct edge xy removed so no path can degenerate to length 1.
+internal vertices inside a prescribed set U.  The decision runs
+shortest augmenting paths straight on the graph's adjacency, over
+(vertex, side) nodes: side 0 enters a vertex of U and side 1 leaves it,
+so each vertex carries at most one path.  The direct edge xy is
+skipped, so no path can degenerate to length 1.
 
 Everything here is pure and reentrant; identical inputs give identical
 outputs because all adjacency is visited in ascending vertex order.
@@ -12,6 +14,7 @@ outputs because all adjacency is visited in ascending vertex order.
 
 from __future__ import annotations
 
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass
 
@@ -26,114 +29,62 @@ class PathSystem:
     paths: tuple[tuple[int, ...], ...]
 
 
-class _FlowNet:
-    """Tiny unit-capacity max-flow network (BFS augmentation).
+def _disjoint_flow(g: Graph, x: int, y: int, u, limit: int) -> set[tuple[int, int]]:
+    """Arcs a->b of up to ``limit`` internally disjoint x-y paths through U.
 
-    Node ids are small ints assigned by the caller; arcs are stored in a
-    residual map.  Deterministic: BFS scans successors ascending.
+    Shortest augmenting paths on g's own adjacency, without the edge xy.
+    A node is (vertex, side): side 0 enters a vertex of U and side 1
+    leaves it, so each vertex carries at most one path; x only leaves
+    and y only enters.  Breadth-first search tries the sink first, then
+    successors in ascending vertex order, and the first parent wins.
     """
-
-    def __init__(self, node_count: int):
-        self.n = node_count
-        self.cap: dict[tuple[int, int], int] = {}
-        self.orig: dict[tuple[int, int], int] = {}
-        self.succ: list[set[int]] = [set() for _ in range(node_count)]
-
-    def add_arc(self, a: int, b: int, capacity: int = 1) -> None:
-        self.cap[(a, b)] = self.cap.get((a, b), 0) + capacity
-        self.orig[(a, b)] = self.orig.get((a, b), 0) + capacity
-        self.cap.setdefault((b, a), 0)
-        self.succ[a].add(b)
-        self.succ[b].add(a)
-
-    def used(self) -> dict[tuple[int, int], int]:
-        """Net flow actually pushed along each original arc."""
-        out = {}
-        for arc, c0 in self.orig.items():
-            sent = c0 - self.cap[arc]
-            if sent > 0:
-                out[arc] = sent
-        return out
-
-    def _augment(self, s: int, t: int) -> bool:
-        parent = {s: s}
-        queue = deque([s])
+    adj = g.adjacency
+    inner = set(u) - {x, y}
+    to_y = inner.intersection(adj.get(y, ()))
+    used: set[tuple[int, int]] = set()
+    for _ in range(limit):
+        feeder = {b: a for a, b in used}  # the used arc into each busy vertex
+        parent = {(x, 1): None}
+        queue = deque([(x, 1)])
         while queue:
-            cur = queue.popleft()
-            if cur == t:
+            node = queue.popleft()
+            v, side = node
+            if side == 0:
+                # a free vertex passes the path through itself; a busy
+                # one can only undo the arc that feeds it
+                succ = [(feeder[v], 1) if v in feeder else (v, 1)]
+            elif v in to_y:
                 break
-            for nxt in sorted(self.succ[cur]):
-                if nxt not in parent and self.cap.get((cur, nxt), 0) > 0:
-                    parent[nxt] = cur
+            else:
+                # Arcs in use need no test: a used arc v->w reaches (w, 0),
+                # whose only way on is back to (v, 1).  Likewise no node
+                # leads to (v, 1) once v's path ends at y.
+                succ = [(w, 0) for w in adj.get(v, ()) if w in inner]
+                if v in feeder:  # undo the path through v
+                    insort(succ, (v, 0))
+            for nxt in succ:
+                if nxt not in parent:
+                    parent[nxt] = node
                     queue.append(nxt)
-        if t not in parent:
-            return False
-        cur = t
-        while cur != s:
-            prev = parent[cur]
-            self.cap[(prev, cur)] -= 1
-            self.cap[(cur, prev)] += 1
-            cur = prev
-        return True
-
-    def max_flow(self, s: int, t: int, limit: int) -> int:
-        sent = 0
-        while sent < limit and self._augment(s, t):
-            sent += 1
-        return sent
-
-
-def _build_disjoint_net(g: Graph, x: int, y: int, allowed: list[int]):
-    """Split-vertex network for internally disjoint x-y paths through allowed."""
-    index = {v: 2 + 2 * i for i, v in enumerate(allowed)}  # v_in; v_out = v_in + 1
-    net = _FlowNet(2 + 2 * len(allowed))
-    allowed_set = set(allowed)
-    for v in allowed:
-        net.add_arc(index[v], index[v] + 1)
-    for a, b in sorted(g.edges):
-        if {a, b} == {x, y}:
-            continue  # direct edge never yields a length->=2 path
-        if a in allowed_set and b in allowed_set:
-            net.add_arc(index[a] + 1, index[b])
-            net.add_arc(index[b] + 1, index[a])
-        elif a == x and b in allowed_set:
-            net.add_arc(0, index[b])
-        elif b == x and a in allowed_set:
-            net.add_arc(0, index[a])
-        elif a == y and b in allowed_set:
-            net.add_arc(index[b] + 1, 1)
-        elif b == y and a in allowed_set:
-            net.add_arc(index[a] + 1, 1)
-    return net, index
-
-
-def _decompose(net: _FlowNet, index: dict[int, int], x: int, y: int, flow: int):
-    """Read paths off the residual network, smallest next vertex first."""
-    back = {node: v for v, node in index.items()}
-    used = net.used()
-    paths = []
-    for _ in range(flow):
-        path = [x]
-        cur = 0
-        while cur != 1:
-            nxt = min(b for (a, b), c in used.items() if a == cur and c > 0)
-            used[(cur, nxt)] -= 1
-            if nxt == 1:
-                path.append(y)
-                cur = 1
-            else:  # an in-node: record the vertex, continue from its out-node
-                path.append(back[nxt])
-                used[(nxt, nxt + 1)] -= 1
-                cur = nxt + 1
-        paths.append(tuple(path))
-    paths.sort(key=lambda p: p[1])
-    return paths
+        else:
+            break  # y is out of reach: the flow is maximum
+        used.add((node[0], y))
+        while parent[node] is not None:
+            (a, a_side), (b, _) = parent[node], node
+            if a != b:  # an arc between vertices: forward on side 1, undone on side 0
+                if a_side:
+                    used.add((a, b))
+                else:
+                    used.discard((b, a))
+            node = parent[node]
+    return used
 
 
 def disjoint_paths(g: Graph, x: int, y: int, u: set | frozenset, k: int):
     """k internally vertex-disjoint paths from x to y through U, or None.
 
     Exact decision: None is returned only when no such system exists.
+    Paths come in ascending order of their second vertex.
     """
     if x == y:
         raise InputError("endpoints must differ")
@@ -143,19 +94,23 @@ def disjoint_paths(g: Graph, x: int, y: int, u: set | frozenset, k: int):
         raise InputError("endpoints must be vertices of the graph")
     if k < 1:
         raise InputError("k must be positive")
-    allowed = sorted((set(u) & g.vertices) - {x, y})
-    net, index = _build_disjoint_net(g, x, y, allowed)
-    flow = net.max_flow(0, 1, k)
-    if flow < k:
+    used = _disjoint_flow(g, x, y, u, k)
+    starts = sorted(b for a, b in used if a == x)
+    if len(starts) < k:
         return None
-    return PathSystem(tuple(_decompose(net, index, x, y, flow)))
+    step = {a: b for a, b in used if a != x}
+    paths = []
+    for b in starts:
+        path = [x, b]
+        while path[-1] != y:
+            path.append(step[path[-1]])
+        paths.append(tuple(path))
+    return PathSystem(tuple(paths))
 
 
 def max_disjoint_paths(g: Graph, x: int, y: int, u, limit: int) -> int:
-    """Flow value only (no path extraction); used by the admissibility kernel."""
-    allowed = sorted((set(u) & g.vertices) - {x, y})
-    net, _ = _build_disjoint_net(g, x, y, allowed)
-    return net.max_flow(0, 1, limit)
+    """The most internally disjoint x-y paths through U, capped at ``limit``."""
+    return sum(1 for a, _ in _disjoint_flow(g, x, y, u, limit) if a == x)
 
 
 def _restricted_bfs(g: Graph, s: int, t: int, internal: set, forbid_direct: bool):
@@ -163,7 +118,7 @@ def _restricted_bfs(g: Graph, s: int, t: int, internal: set, forbid_direct: bool
 
     Deterministic: neighbors expand in ascending order, first parent wins.
     """
-    adj = g.adjacency()
+    adj = g.adjacency
     parent = {s: s}
     queue = deque([s])
     while queue:

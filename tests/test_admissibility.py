@@ -13,6 +13,7 @@ from trisurf.admissibility import (
     relevant_vertices,
     semi_admissible,
 )
+from trisurf.builder import SearchConfig
 from trisurf.errors import CapacityError, InputError
 from trisurf.generators import planted_semi_admissible
 from trisurf.hypergraph import Graph, Hypergraph3
@@ -75,7 +76,7 @@ def test_relevant_vertices_menger_filter():
 
 def _path_vertices(g, x, y):
     """Internal vertices of every simple x-y path of length >= 2, by enumeration."""
-    adj = g.adjacency()
+    adj = g.adjacency
     seen = set()
 
     def walk(path):
@@ -180,6 +181,30 @@ def test_dispatch_falls_back_to_mc_over_limit():
     assert est.mode == "monte-carlo"
     assert est.samples == 2000
     assert 0.0 <= est.ci_low <= est.p_hat <= est.ci_high <= 1.0
+
+
+@pytest.mark.parametrize("m", [62, 64, 66])
+def test_mc_fan_past_63_candidates(m):
+    # m length-2 paths 0-v-1 plus the edge 01: at p = 1 every sample keeps
+    # all m candidates, so each one holds two disjoint paths
+    fan = G(m + 2, [(0, 1)] + [(end, v) for v in range(2, m + 2) for end in (0, 1)])
+    params = AdmissibilityParams(p=1.0, epsilon=0.1, k=2, mc_samples=64)
+    est = admissible_mc(fan, (0, 1), params, seed=0)
+    assert est.p_hat == 1.0
+    assert est.verdict == "admissible"
+
+
+def test_exact_limit_capped():
+    for bad in (-1, 21):
+        with pytest.raises(InputError):
+            AdmissibilityParams(p=0.5, epsilon=0.5, k=1, exact_limit=bad)
+        with pytest.raises(InputError):
+            SearchConfig(exact_limit=bad)
+        with pytest.raises(InputError):
+            admissible_exact(K4_MINUS, (0, 1), p=0.5, k=1, exact_limit=bad)
+    assert AdmissibilityParams(p=0.5, epsilon=0.5, k=1, exact_limit=20).exact_limit == 20
+    assert SearchConfig(exact_limit=20).exact_limit == 20
+    assert admissible_exact(K4_MINUS, (0, 1), p=0.5, k=1, exact_limit=20) == pytest.approx(0.75)
 
 
 def test_semi_admissible_planted_counts_witnesses():

@@ -111,6 +111,19 @@ def test_admissibility_graph_file(tmp_path, capsys):
     assert abs(est["p_hat"] - 0.75) < 1e-12
 
 
+def test_admissibility_exact_limit_capped(tmp_path, capsys):
+    gpath = tmp_path / "g.txt"
+    gpath.write_text("n=4\n0 1\n0 2\n0 3\n1 2\n1 3\n")
+    argv = ["admissibility", str(gpath), "--edge", "0", "1", "--p", "0.5", "--exact-limit"]
+    code, out, err = run(capsys, argv + ["21"])
+    assert code == 2
+    assert out == ""
+    assert "exact_limit" in err
+    code, out, _ = run(capsys, argv + ["20"])
+    assert code == 0
+    assert json.loads(out)["mode"] == "exact"
+
+
 def test_admissibility_from_pair_link(tmp_path, capsys):
     path = complete_file(tmp_path, 8)
     code, out, _ = run(capsys, [

@@ -5,6 +5,7 @@ import pytest
 from trisurf.errors import InputError, ParseError
 from trisurf.generators import random_hypergraph
 from trisurf.hypergraph import (
+    Graph,
     Hypergraph3,
     best_pair,
     codegree,
@@ -78,6 +79,17 @@ def test_pair_link_subset_of_each_link():
         common = pair_link(h, u, u2).edges
         assert common <= link_graph(h, u).edges
         assert common <= link_graph(h, u2).edges
+
+
+def test_graph_adjacency_built_once_and_sorted():
+    g = Graph.build(range(5), [(3, 0), (0, 1), (4, 0), (1, 2)])
+    assert g.adjacency is g.adjacency
+    assert g.adjacency == {0: (1, 3, 4), 1: (0, 2), 2: (1,), 3: (0,), 4: (0,)}
+    assert g.neighbors(0) == [1, 3, 4]
+    assert g.neighbors(9) == []
+    # the cache takes no part in equality or hashing
+    twin = Graph.build(range(5), g.edges)
+    assert twin == g and hash(twin) == hash(g)
 
 
 def test_codegree():

@@ -10,6 +10,7 @@ from trisurf.paths import (
     cycle_with_forced_second_vertex,
     disjoint_paths,
     is_valid_cycle,
+    max_disjoint_paths,
     path_through,
 )
 
@@ -20,7 +21,7 @@ def G(n, edges):
 
 def all_simple_paths(g, x, y, allowed):
     """Every simple x-y path of length >= 2 with internals in allowed."""
-    adj = g.adjacency()
+    adj = g.adjacency
     out = []
 
     def walk(cur, path):
@@ -128,6 +129,17 @@ def test_disjoint_paths_deterministic():
     b = disjoint_paths(g, 0, 7, {1, 2, 3, 4}, 3)
     assert a == b
     assert a.paths == ((0, 1, 7), (0, 2, 7), (0, 3, 7))
+
+
+def test_disjoint_paths_reroutes_first_path():
+    # The first path found, 0-2-3-4-1, blocks the second one.  Undoing it
+    # takes both reverse moves: back along the arc 3->4 that feeds 4, then
+    # back through 3 to 2, which leaves by 7 instead.
+    g = G(9, [(0, 2), (2, 3), (3, 4), (4, 1), (0, 5), (5, 6), (6, 4), (2, 7), (7, 8), (8, 1)])
+    u = set(range(2, 9))
+    assert max_disjoint_paths(g, 0, 1, u, 3) == 2
+    assert disjoint_paths(g, 0, 1, u, 2).paths == ((0, 2, 7, 8, 1), (0, 5, 6, 4, 1))
+    assert disjoint_paths(g, 0, 1, u, 3) is None
 
 
 def test_path_through_basic():
